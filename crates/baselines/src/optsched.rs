@@ -67,6 +67,10 @@ impl MultipathScheduler for OptSched {
         self.inner.specs()
     }
 
+    fn needs_oracle(&self) -> bool {
+        true
+    }
+
     fn on_window_start(&mut self, start_ns: u64, window_ns: u64, paths: &[PathSnapshot]) {
         let oracle = Self::oracle_snapshots(paths);
         self.inner.on_window_start(start_ns, window_ns, &oracle);

@@ -1,9 +1,10 @@
 //! # iqpaths-bench — experiment harnesses
 //!
-//! One binary per table/figure of the paper's evaluation (see
-//! `DESIGN.md` §4 for the index and `EXPERIMENTS.md` for recorded
-//! results). Every harness prints the rows/series the paper reports and
-//! writes CSVs under `target/experiments/`.
+//! One binary per single-run figure or study of the paper's evaluation
+//! (see `DESIGN.md` §4 for the index and `EXPERIMENTS.md` for recorded
+//! results); the sweep-style studies run through `iqpaths-harness`.
+//! Every harness prints the rows/series the paper reports and writes
+//! CSVs under `target/experiments/`.
 //!
 //! Environment knobs (all harnesses):
 //! * `IQP_DURATION` — measured seconds per run (default 150, the

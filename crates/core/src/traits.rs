@@ -123,6 +123,14 @@ pub trait MultipathScheduler {
         true
     }
 
+    /// Whether [`MultipathScheduler::on_window_start`] reads
+    /// [`PathSnapshot::oracle_next_rate`]. The runtime fills the oracle
+    /// rate only when this is `true` and passes `None` otherwise, so
+    /// online schedulers skip the ground-truth lookahead cost.
+    fn needs_oracle(&self) -> bool {
+        false
+    }
+
     /// Drains pending admission-control upcalls (PGOS notifies the
     /// application when a stream cannot be scheduled; see §5.2.2).
     fn drain_upcalls(&mut self) -> Vec<crate::mapping::Upcall> {

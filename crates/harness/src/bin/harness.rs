@@ -4,14 +4,15 @@
 //! ```text
 //! harness list
 //! harness sweep  [--sweep NAME|all] [--threads N] [--no-cache]
-//!                [--seed S] [--duration D] [--shards N] [--verbose]
+//!                [--seed S] [--duration D] [--verbose]
 //! harness report [--sweep NAME|all] [--check] [--seed S] [--duration D]
 //! harness speedup [--threads N]
 //! ```
 //!
-//! `sweep` executes cells (parallel, cached) and prints a summary.
-//! `report` additionally renders the tables, patches the generated
-//! blocks in `EXPERIMENTS.md` and writes `target/experiments/` CSVs;
+//! `sweep` executes cells (parallel, cached), prints a summary, writes
+//! each sweep's `target/experiments/` artifact and exits non-zero when
+//! a cell fails conformance. `report` additionally renders the tables
+//! and patches the generated blocks in `EXPERIMENTS.md`;
 //! with `--check` it verifies the committed blocks instead of writing
 //! (non-zero exit on drift). `speedup` times the fault-sweep matrix
 //! serially vs in parallel vs from a warm cache.
@@ -19,6 +20,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use iqpaths_harness::cell::CellResult;
 use iqpaths_harness::engine::{run_sweep, EngineOpts};
 use iqpaths_harness::report::{
     blocks_for, check_blocks, csv_for, patch_blocks, sched_throughput_gate, Block,
@@ -37,7 +39,6 @@ struct Args {
     verbose: bool,
     seed: u64,
     duration: f64,
-    shards: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -52,7 +53,6 @@ fn parse_args() -> Result<Args, String> {
         verbose: false,
         seed: DEFAULT_SEED,
         duration: DEFAULT_DURATION,
-        shards: 1,
     };
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| argv.next().ok_or_else(|| format!("{name} expects a value"));
@@ -75,11 +75,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--duration: {e}"))?
             }
-            "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
-            }
             "--no-cache" => args.use_cache = false,
             "--check" => args.check = true,
             "--verbose" => args.verbose = true,
@@ -90,20 +85,13 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn selected_sweeps(args: &Args) -> Result<Vec<SweepSpec>, String> {
-    // `--shards N` reruns the sweep on the sharded data plane; the cell
-    // identity (and therefore the cache key) carries the shard count, so
-    // serial and sharded results never alias.
-    let sweeps = if args.sweep == "all" {
-        all_sweeps(args.seed, args.duration)
+    if args.sweep == "all" {
+        Ok(all_sweeps(args.seed, args.duration))
     } else {
         sweep_by_name(&args.sweep, args.seed, args.duration)
             .map(|s| vec![s])
-            .ok_or_else(|| format!("unknown sweep `{}` (see `harness list`)", args.sweep))?
-    };
-    Ok(sweeps
-        .into_iter()
-        .map(|s| s.with_shards(args.shards))
-        .collect())
+            .ok_or_else(|| format!("unknown sweep `{}` (see `harness list`)", args.sweep))
+    }
 }
 
 fn experiments_md_path() -> PathBuf {
@@ -117,6 +105,16 @@ fn out_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
     std::fs::create_dir_all(&dir).expect("create experiment output dir");
     dir
+}
+
+/// Writes the sweep's `target/experiments/` artifact, if it has one.
+fn write_artifact(sweep: &str, results: &[CellResult]) -> Result<(), String> {
+    if let Some((name, contents)) = csv_for(sweep, results) {
+        let path = out_dir().join(&name);
+        std::fs::write(&path, contents).map_err(|e| format!("write {name}: {e}"))?;
+        println!("  [artifact] {}", path.display());
+    }
+    Ok(())
 }
 
 fn sched_baseline_path() -> PathBuf {
@@ -167,6 +165,7 @@ fn cmd_sweep(args: &Args) -> Result<ExitCode, String> {
                 String::new()
             }
         );
+        write_artifact(sweep.name, &out.results)?;
     }
     Ok(if failures == 0 {
         ExitCode::SUCCESS
@@ -196,11 +195,7 @@ fn cmd_report(args: &Args) -> Result<ExitCode, String> {
         blocks.extend(blocks_for(sweep.name, &out.results));
         // Artifacts are written in check mode too: CI uploads the
         // wall-clock JSON produced by the very run the gate judged.
-        if let Some((name, contents)) = csv_for(sweep.name, &out.results) {
-            let path = out_dir().join(&name);
-            std::fs::write(&path, contents).map_err(|e| format!("write {name}: {e}"))?;
-            println!("  [artifact] {}", path.display());
-        }
+        write_artifact(sweep.name, &out.results)?;
         if args.check && sweep.name == "sched_throughput" {
             let baseline_path = sched_baseline_path();
             let baseline = std::fs::read_to_string(&baseline_path)
@@ -325,7 +320,7 @@ fn main() -> ExitCode {
             println!(
                 "usage: harness <list|sweep|report|speedup> \
                  [--sweep NAME|all] [--threads N] [--no-cache] [--check] \
-                 [--seed S] [--duration D] [--shards N] [--verbose]"
+                 [--seed S] [--duration D] [--verbose]"
             );
             Ok(ExitCode::SUCCESS)
         }

@@ -56,11 +56,6 @@ pub struct RuntimeConfig {
     /// How the monitoring module summarizes distributions (the
     /// `abl-hist` exact-vs-streaming-histogram knob).
     pub cdf_mode: iqpaths_overlay::node::CdfMode,
-    /// Data-plane worker count for [`crate::sharded::run_sharded`].
-    /// `1` (the default) runs the classic serial event loop and is
-    /// byte-identical to the pre-split runtime; the serial entry
-    /// points in this module ignore the knob.
-    pub shards: usize,
     /// Which probe planner schedules main-loop measurements.
     /// `Periodic` with an unlimited budget (the default) is the legacy
     /// probe-everything discipline, byte-identical to the pre-planner
@@ -86,7 +81,6 @@ impl Default for RuntimeConfig {
             blocked_recheck_secs: 0.01,
             seed: 1,
             cdf_mode: iqpaths_overlay::node::CdfMode::Exact,
-            shards: 1,
             planner: PlannerKind::Periodic,
             probe_budget: ProbeBudget::Unlimited,
         }
@@ -372,10 +366,8 @@ pub fn run_traced(
 }
 
 /// [`run_traced`] that additionally returns the probe planner's
-/// per-path main-loop probe counts — the same planner state the
-/// sharded controller publishes on
-/// [`crate::sharded::ShardedOutcome::probe_counts`], exposed here so
-/// serial (`shards = 1`) callers can account probe spend identically.
+/// per-path main-loop probe counts (lost reports included — the
+/// planner spent budget on them), so callers can account probe spend.
 #[allow(clippy::too_many_arguments)]
 pub fn run_traced_counted(
     paths: &[OverlayPath],
@@ -401,35 +393,27 @@ pub fn run_traced_counted(
 /// Everything one event-loop run needs besides the workload, the
 /// scheduler under test, and the delivery sink. The single
 /// parameterization point: every public entry above is a thin wrapper
-/// over [`execute`], and the sharded controller plane calls it once per
-/// data-plane worker.
-pub(crate) struct RunParams<'a> {
+/// over [`execute`].
+struct RunParams<'a> {
     /// Overlay paths (pre-fault; faults compile in inside [`execute`]).
-    pub paths: &'a [OverlayPath],
+    paths: &'a [OverlayPath],
     /// Runtime tuning (including the seed every RNG derives from).
-    pub cfg: RuntimeConfig,
+    cfg: RuntimeConfig,
     /// Measured duration in seconds (excludes warm-up).
-    pub duration: f64,
+    duration: f64,
     /// Deterministic fault schedule (empty = clean run).
-    pub faults: &'a FaultSchedule,
+    faults: &'a FaultSchedule,
     /// Trace handle (null = no emission).
-    pub trace: TraceHandle,
+    trace: TraceHandle,
 }
 
-/// What one event-loop run produces: the standard report plus the final
-/// per-path goodput snapshots the sharded controller merges into a
-/// global CDF view ([`crate::sharded::ShardedOutcome::path_cdfs`]).
-pub(crate) struct RunOutput {
+/// What one event-loop run produces.
+struct RunOutput {
     /// The standard run report.
-    pub report: RunReport,
-    /// Per-path monitoring snapshot at the end of the run (goodput
-    /// scaled, no oracle attached).
-    pub final_snapshots: Vec<PathSnapshot>,
-    /// Planner state published alongside the CDFs: how many main-loop
-    /// probes the planner scheduled per path (lost reports included —
-    /// the planner spent budget on them). The sharded controller sums
-    /// these across workers.
-    pub probe_counts: Vec<u64>,
+    report: RunReport,
+    /// How many main-loop probes the planner scheduled per path (lost
+    /// reports included — the planner spent budget on them).
+    probe_counts: Vec<u64>,
 }
 
 /// Builds per-path goodput snapshots from the monitoring module's
@@ -472,13 +456,13 @@ fn goodput_snapshots_into(
 }
 
 /// The one event loop. See [`run_traced`] for semantics; this form
-/// additionally returns the final monitoring snapshots.
+/// additionally returns the planner's per-path probe counts.
 ///
 /// # Panics
 /// Panics on an empty path set, non-positive duration, or a fault
 /// targeting an unknown path index.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn execute(
+fn execute(
     params: RunParams<'_>,
     mut workload: Box<dyn Workload>,
     mut scheduler: Box<dyn MultipathScheduler>,
@@ -522,6 +506,9 @@ pub(crate) fn execute(
     // Reused by every Window event; snapshots are cloned out by the
     // scheduler only if it keeps them (CdfSummary shares its backing).
     let mut snapshot_scratch: Vec<PathSnapshot> = Vec::with_capacity(n_paths);
+    // The per-window oracle rate costs a 20-step residual average per
+    // path; only schedulers that read it pay for it.
+    let wants_oracle = scheduler.needs_oracle();
     let mut services: Vec<PathService> = paths.iter().map(OverlayPath::service).collect();
     let mut monitoring = MonitoringModule::with_mode(n_paths, cfg.history_samples, cfg.cdf_mode);
     let mut probes: Vec<AvailBwProbe> = (0..n_paths)
@@ -829,7 +816,7 @@ pub(crate) fn execute(
                 let lost_random = loss_p > 0.0 && loss_rng.gen_bool(loss_p);
                 // Scheduled transit-loss faults (`Fault::TransitLoss`):
                 // silent post-service loss, drawn statelessly from the
-                // packet identity so serial and sharded runs agree.
+                // packet identity.
                 if lost_random || injector.transit_lost(j, s as u64, delivery.packet.seq, now_s) {
                     transit_lost[s] += 1;
                     path_lost[j] += 1;
@@ -1022,13 +1009,13 @@ pub(crate) fn execute(
                     &path_transmitted,
                     &path_lost,
                     |j| {
-                        Some(
+                        wants_oracle.then(|| {
                             paths[j].mean_residual(
                                 now_s,
                                 now_s + cfg.window_secs,
                                 cfg.window_secs / 20.0,
-                            ) * (1.0 - paths[j].loss_prob()),
-                        )
+                            ) * (1.0 - paths[j].loss_prob())
+                        })
                     },
                     &mut snapshot_scratch,
                 );
@@ -1056,14 +1043,11 @@ pub(crate) fn execute(
     let end_rel = SimTime::from_secs_f64(duration);
     let streams = specs
         .iter()
+        .zip(stream_tp.into_iter().zip(stream_path_tp))
         .enumerate()
-        .map(|(s, spec)| {
-            let series = stream_tp.remove(0).finish(end_rel);
-            let per_path = stream_path_tp
-                .remove(0)
-                .into_iter()
-                .map(|m| m.finish(end_rel))
-                .collect();
+        .map(|(s, (spec, (tp, path_tp)))| {
+            let series = tp.finish(end_rel);
+            let per_path = path_tp.into_iter().map(|m| m.finish(end_rel)).collect();
             report::stream_report(
                 spec,
                 series,
@@ -1082,14 +1066,6 @@ pub(crate) fn execute(
         .collect();
 
     trace.flush();
-    let mut final_snapshots = Vec::with_capacity(n_paths);
-    goodput_snapshots_into(
-        &monitoring,
-        &path_transmitted,
-        &path_lost,
-        |_| None,
-        &mut final_snapshots,
-    );
     RunOutput {
         report: RunReport {
             scheduler: scheduler.name().to_string(),
@@ -1102,7 +1078,6 @@ pub(crate) fn execute(
             events: events.processed(),
             metrics,
         },
-        final_snapshots,
         probe_counts,
     }
 }
@@ -1521,5 +1496,69 @@ mod tests {
         let pgos = Pgos::new(PgosConfig::default(), specs, 2);
         let report = run(&paths, Box::new(src), Box::new(pgos), quick_cfg(), 8.0);
         assert!(report.streams[0].coding.is_none());
+    }
+
+    /// Forwards to `inner` and records the oracle rate of every window
+    /// snapshot it is handed.
+    struct OracleSpy {
+        inner: Box<dyn MultipathScheduler>,
+        seen: std::rc::Rc<std::cell::RefCell<Vec<Option<f64>>>>,
+    }
+
+    impl MultipathScheduler for OracleSpy {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn specs(&self) -> &[StreamSpec] {
+            self.inner.specs()
+        }
+
+        fn needs_oracle(&self) -> bool {
+            self.inner.needs_oracle()
+        }
+
+        fn on_window_start(&mut self, start_ns: u64, window_ns: u64, paths: &[PathSnapshot]) {
+            let mut seen = self.seen.borrow_mut();
+            seen.extend(paths.iter().map(|p| p.oracle_next_rate));
+            self.inner.on_window_start(start_ns, window_ns, paths);
+        }
+
+        fn next_packet(
+            &mut self,
+            path: usize,
+            now_ns: u64,
+            queues: &mut StreamQueues,
+        ) -> Option<iqpaths_core::queues::QueuedPacket> {
+            self.inner.next_packet(path, now_ns, queues)
+        }
+    }
+
+    fn oracle_rates_seen(inner: Box<dyn MultipathScheduler>) -> Vec<Option<f64>> {
+        let paths = vec![clean_path(0, 30.0), congested_path(1, 30.0, 10.0)];
+        let (_, src) = one_stream_workload(8.0, 5.0);
+        let seen = std::rc::Rc::default();
+        let spy = OracleSpy {
+            inner,
+            seen: std::rc::Rc::clone(&seen),
+        };
+        run(&paths, Box::new(src), Box::new(spy), quick_cfg(), 5.0);
+        seen.take()
+    }
+
+    #[test]
+    fn only_schedulers_that_need_the_oracle_receive_it() {
+        let (specs, _) = one_stream_workload(8.0, 5.0);
+        let pgos = Pgos::new(PgosConfig::default(), specs.clone(), 2);
+        let online = oracle_rates_seen(Box::new(pgos));
+        assert!(!online.is_empty());
+        assert!(online.iter().all(Option::is_none), "PGOS got {online:?}");
+
+        let oracle = oracle_rates_seen(Box::new(iqpaths_baselines::OptSched::new(specs, 2)));
+        assert!(!oracle.is_empty());
+        assert!(
+            oracle.iter().all(Option::is_some),
+            "OptSched got {oracle:?}"
+        );
     }
 }
